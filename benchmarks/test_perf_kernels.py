@@ -160,6 +160,11 @@ def test_overlay_linkstate_memory_is_subquadratic_1024():
     # of magnitude below and inside the O(n^1.5) envelope.
     assert stats.linkstate_bytes_max < stats.linkstate_bytes_dense / 8
     assert stats.linkstate_bytes_max < 60 * n * math.isqrt(n) + 64 * n
+    # Failover state: 16 B per (server, destination) cover, each of the
+    # node's recommending servers covering ~2 sqrt(n) clients, plus
+    # ~70 B of columns per destination. The busiest node holds ~0.6 MB
+    # here against a 0.9 MB envelope.
+    assert stats.failover_bytes_max < 20 * n * math.isqrt(n) + 256 * n
     # The overlay must actually have routed while doing so.
     assert stats.route_usable_frac > 0.9
     assert stats.transport_coalesced > 0

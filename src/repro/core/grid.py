@@ -33,6 +33,9 @@ import bisect
 import math
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.errors import QuorumError
 
 __all__ = ["grid_dimensions", "GridQuorum"]
@@ -274,27 +277,40 @@ class GridQuorum:
         """
         if i == j:
             raise QuorumError("a node has no rendezvous pair with itself")
+        self.position(j)  # rejects non-members
+        pair = self.default_rendezvous_pairs(i)[self._index[j]]
+        return tuple(int(node) for node in pair if node >= 0)
+
+    def default_rendezvous_pairs(self, i: int) -> npt.NDArray[np.int64]:
+        """:meth:`default_rendezvous_pair` of ``i`` with every member.
+
+        An ``(n, 2)`` array whose row ``k`` is the pair for the member at
+        fill slot ``k``; ``-1`` pads a one-server pair, and ``i``'s own
+        row is ``(-1, -1)``.
+        """
         ri, ci = self.position(i)
-        rj, cj = self.position(j)
-        picks: List[int] = []
+        n, cols = self.n, self.cols
+        rj, cj = np.divmod(np.arange(n), cols)
         # Intersection of i's row with j's column. Blanks only occur in
         # the bottom row, so a blank here means i is a bottom-row node and
         # cj is a blank column; the §3 augmentation's substitute is the
         # node at (ci, cj), which is both an extra server of i and in j's
         # column.
-        first = self.at(ri, cj)
-        if first is None:
-            first = self.at(ci, cj)
+        first = ri * cols + cj
+        first = np.where(first < n, first, ci * cols + cj)
         # Intersection of j's row with i's column, symmetric reasoning.
-        second = self.at(rj, ci)
-        if second is None:
-            second = self.at(cj, ci)
-        for node in (first, second):
-            if node is not None and node not in picks:
-                picks.append(node)
-        if not picks:  # pragma: no cover - coverage theorem prevents this
-            raise QuorumError(f"no rendezvous found for pair ({i}, {j})")
-        return tuple(picks)
+        second = rj * cols + ci
+        second = np.where(second < n, second, cj * cols + ci)
+        first[first >= n] = -1
+        second[second >= n] = -1
+        slots = np.empty((n, 2), dtype=np.int64)
+        slots[:, 0] = np.where(first >= 0, first, second)
+        slots[:, 1] = np.where((first >= 0) & (second != first), second, -1)
+        slots[self._index[i]] = -1
+        if (slots[:, 0] < 0).sum() > 1:  # pragma: no cover - coverage theorem
+            raise QuorumError(f"no rendezvous found for some pair with {i}")
+        members = np.asarray(self._members, dtype=np.int64)
+        return np.where(slots >= 0, members[slots], -1)
 
     def failover_candidates(self, dst: int) -> Tuple[int, ...]:
         """§4.1 failover set for ``dst``: nodes in ``dst``'s row+column.

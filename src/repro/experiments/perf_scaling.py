@@ -91,6 +91,10 @@ class PerfRunStats:
     #: What one dense n x n table would cost (latency+loss float64,
     #: alive bool, row_time/version) — the pre-PR4 per-node footprint.
     linkstate_bytes_dense: int
+    #: Largest per-node §4.1 failover state (bytes) at the end of the
+    #: run: O(sqrt(n)) float rows of length n, one per recommending
+    #: server, plus O(n) per-destination columns.
+    failover_bytes_max: int
     #: Fraction of sampled (source, destination) pairs with a usable
     #: route at the end of the run (sanity: the overlay actually routes).
     route_usable_frac: float
@@ -155,6 +159,9 @@ def run_overlay_at_scale(
     table_bytes = [
         overlay.nodes[int(i)].router.table.nbytes() for i in started
     ]
+    failover_bytes = [
+        overlay.nodes[int(i)].router.failover.nbytes() for i in started
+    ]
     dense_bytes = n * n * (8 + 8 + 1) + n * (8 + 8)
     routing_bytes = int(overlay.bandwidth.bytes_per_node(ROUTING_KINDS).sum())
     transport = overlay.transport
@@ -172,6 +179,7 @@ def run_overlay_at_scale(
         peak_rss_mb=round(_peak_rss_mb(), 1),
         linkstate_bytes_max=max(table_bytes) if table_bytes else 0,
         linkstate_bytes_dense=dense_bytes,
+        failover_bytes_max=max(failover_bytes) if failover_bytes else 0,
         route_usable_frac=(
             round(usable_pairs / total_pairs, 4) if total_pairs else 0.0
         ),

@@ -1,6 +1,6 @@
 """Typed in-simulation messages.
 
-Messages carry structured payloads (numpy arrays, entry lists) for speed;
+Messages carry structured payloads (numpy arrays, ID tuples) for speed;
 their :meth:`wire_size` reports what the compact §5 wire encoding *would*
 occupy, which is what the bandwidth accounting uses. The byte-level codecs
 in :mod:`repro.overlay.wire` are exercised separately and round-trip the
@@ -10,7 +10,7 @@ same information.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -141,15 +141,20 @@ class LinkStateMessage(Message):
         return base + (wire.NODE_ID_BYTES if self.relay_via is not None else 0)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class RecommendationMessage(Message):
     """Round-2 best-one-hop recommendations for one rendezvous client.
 
-    ``entries`` is a list of ``(destination, one_hop)`` node-ID pairs; a
-    ``one_hop`` equal to the destination means "use the direct path".
+    Entry ``k`` recommends one-hop ``hops[k]`` for destination
+    ``dsts[k]`` (both view indices, int arrays of equal length); a hop
+    equal to its destination means "use the direct path". An honest
+    rendezvous sends ``dsts`` strictly ascending. Messages compare by
+    identity (``eq=False``): field-wise equality would compare the
+    arrays elementwise.
     """
 
-    entries: List[Tuple[int, int]] = field(default_factory=list)
+    dsts: np.ndarray
+    hops: np.ndarray
     view_version: int = 0
     sent_at: float = 0.0
     #: §6.2.2 footnote 11: optionally timestamp entries so receivers can
@@ -164,13 +169,9 @@ class RecommendationMessage(Message):
         if self.timestamped:
             return (
                 wire.HEADER_BYTES
-                + wire.TIMESTAMPED_REC_ENTRY_BYTES * len(self.entries)
+                + wire.TIMESTAMPED_REC_ENTRY_BYTES * len(self.dsts)
             )
-        return wire.recommendation_message_bytes(len(self.entries))
-
-    def destinations(self) -> List[int]:
-        """The destinations this message recommends hops for."""
-        return [dst for dst, _ in self.entries]
+        return wire.recommendation_message_bytes(len(self.dsts))
 
 
 @dataclass(slots=True)

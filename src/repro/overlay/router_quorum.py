@@ -364,28 +364,34 @@ class QuorumRouter(RouterBase):
         covered_ids: np.ndarray,
         best_h: np.ndarray,
         finite: np.ndarray,
-    ) -> List[Tuple[int, int]]:
-        """Recommendation entries for recipient ``a_idx`` (vectorized)."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Recommendation ``(dsts, hops)`` for recipient ``a_idx``.
+
+        ``dsts`` keeps the order of ``covered_ids`` (ascending view
+        indices), which the receiver's fast path relies on.
+        """
         keep = finite & (covered_ids != a_idx)
         hops = np.where(
             (best_h == a_idx) | (best_h == covered_ids),
             covered_ids,  # canonical "direct"
             best_h,
         )
-        return list(zip(covered_ids[keep].tolist(), hops[keep].tolist()))
+        return covered_ids[keep], hops[keep]
 
     def _send_rec_message(
         self,
         view: MembershipView,
         a_idx: int,
-        entries: List[Tuple[int, int]],
+        entries: Tuple[np.ndarray, np.ndarray],
         now: float,
     ) -> None:
-        if not entries:
+        dsts, hops = entries
+        if not dsts.size:
             return
         msg = RecommendationMessage(
             origin=self.me,
-            entries=entries,
+            dsts=dsts,
+            hops=hops,
             view_version=self.wire_view_version(),
             sent_at=now,
             timestamped=self.config.timestamped_recommendations,
@@ -425,12 +431,7 @@ class QuorumRouter(RouterBase):
             return
         src_idx = view.index_of(src)
         now = self.sim.now
-        timestamps_on = self.config.timestamped_recommendations
-        if not msg.entries:
-            self.failover.note_recommendations(src_idx, set(), now)
-            return
-        ent = np.asarray(msg.entries, dtype=np.int64)
-        dsts, hops = ent[:, 0], ent[:, 1]
+        dsts, hops = msg.dsts, msg.hops
         valid = (
             (dsts >= 0)
             & (dsts < view.n)
@@ -438,24 +439,26 @@ class QuorumRouter(RouterBase):
             & (hops < view.n)
             & (dsts != self.me_idx)
         )
-        dsts, hops = dsts[valid], hops[valid]
+        if not valid.all():
+            dsts, hops = dsts[valid], hops[valid]
         # Even an entry too stale to install still counts as coverage:
         # the rendezvous demonstrably recommends this destination.
-        covered: Set[int] = set(dsts.tolist())
-        if np.unique(dsts).size != dsts.size:
+        self.failover.note_recommendations(src_idx, dsts, now)
+        if not (dsts[1:] > dsts[:-1]).all() and np.unique(dsts).size != dsts.size:
             # Duplicate destinations in one message (only a non-standard
-            # sender produces these): sequential last-wins semantics.
+            # sender produces these; an honest one sends them strictly
+            # ascending): sequential last-wins semantics.
             self._apply_entries_scalar(dsts, hops, src_idx, msg.sent_at, now)
         else:
-            if timestamps_on:
+            if self.config.timestamped_recommendations:
                 # Footnote 11: an out-of-order (older-computed)
                 # recommendation must not clobber a newer best hop —
                 # nor refresh its freshness window (stale information
                 # is not evidence the installed hop still holds).
                 live = msg.sent_at >= self.route_sent_at[dsts]
                 dsts, hops = dsts[live], hops[live]
-            prev_time = self.route_time[dsts].copy()
-            prev_server = self.route_server[dsts].copy()
+            prev_time = self.route_time[dsts]
+            prev_server = self.route_server[dsts]
             displaced = (prev_server >= 0) & (prev_server != src_idx)
             dd = dsts[displaced]
             # Keep the displaced rendezvous' opinion as the secondary
@@ -467,7 +470,6 @@ class QuorumRouter(RouterBase):
             self.route_hop[dsts] = hops
             self.route_sent_at[dsts] = msg.sent_at
             self.route_server[dsts] = src_idx
-        self.failover.note_recommendations(src_idx, covered, now)
 
     def _apply_entries_scalar(
         self,
@@ -506,7 +508,7 @@ class QuorumRouter(RouterBase):
     def _evaluate_failover(self) -> FailoverPoll:
         poll = self.failover.poll(
             self.sim.now,
-            self.link_up_view,
+            self.monitor.alive[self._member_ids],
             self._sees_alive,
             allow_relay=self.config.relay_failover,
         )

@@ -27,7 +27,7 @@ Encoding notes:
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -317,26 +317,32 @@ def decode_linkstate(data: bytes, n: int) -> Tuple[np.ndarray, np.ndarray, np.nd
 # ----------------------------------------------------------------------
 # Recommendation codec
 # ----------------------------------------------------------------------
-def encode_recommendations(entries: Sequence[Tuple[int, int]]) -> bytes:
-    """Encode ``(destination, one_hop)`` entries, 4 bytes per entry."""
-    out = bytearray()
-    for dst, hop in entries:
-        if not (0 <= dst <= 0xFFFF and 0 <= hop <= 0xFFFF):
-            raise WireFormatError(f"node IDs must fit in 16 bits: ({dst}, {hop})")
-        out += struct.pack(">HH", dst, hop)
-    return bytes(out)
+def encode_recommendations(dsts: np.ndarray, hops: np.ndarray) -> bytes:
+    """Encode ``(dsts[k], hops[k])`` entries, 4 bytes per entry: the
+    two ID columns interleaved as big-endian 16-bit words."""
+    dsts = np.asarray(dsts, dtype=np.int64)
+    hops = np.asarray(hops, dtype=np.int64)
+    if dsts.ndim != 1 or dsts.shape != hops.shape:
+        raise WireFormatError(
+            f"recommendation columns must be equal-length 1-D arrays: "
+            f"{dsts.shape} vs {hops.shape}"
+        )
+    ids = np.stack((dsts, hops), axis=1)
+    if ids.size and (ids.min() < 0 or ids.max() > 0xFFFF):
+        raise WireFormatError(
+            f"node IDs must fit in 16 bits: got [{ids.min()}, {ids.max()}]"
+        )
+    return ids.astype(">u2").tobytes()
 
 
-def decode_recommendations(data: bytes) -> List[Tuple[int, int]]:
-    """Inverse of :func:`encode_recommendations`."""
+def decode_recommendations(data: bytes) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`encode_recommendations`: ``(dsts, hops)``."""
     if len(data) % RECOMMENDATION_ENTRY_BYTES != 0:
         raise WireFormatError(
             f"recommendation payload length {len(data)} not a multiple of 4"
         )
-    return [
-        struct.unpack_from(">HH", data, k)
-        for k in range(0, len(data), RECOMMENDATION_ENTRY_BYTES)
-    ]
+    ids = np.frombuffer(data, dtype=">u2").reshape(-1, 2).astype(np.int64)
+    return ids[:, 0], ids[:, 1]
 
 
 # ----------------------------------------------------------------------

@@ -177,6 +177,31 @@ class TestInvariants:
         pair = grid.default_rendezvous_pair(0, 1)
         assert set(pair) == {0, 1}
 
+    @given(st.integers(min_value=2, max_value=120), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_default_pairs_match_grid_geometry(self, n, data):
+        # Every member's pair with i, including the blank-position
+        # substitutes, equals the intersection read off the grid.
+        members = sorted(data.draw(st.sets(st.integers(0, 5000), min_size=n, max_size=n)))
+        grid = GridQuorum(members)
+        i = data.draw(st.sampled_from(members))
+        pairs = grid.default_rendezvous_pairs(i)
+        ri, ci = grid.position(i)
+        for slot, j in enumerate(members):
+            if j == i:
+                assert pairs[slot].tolist() == [-1, -1]
+                continue
+            rj, cj = grid.position(j)
+            first = grid.at(ri, cj)
+            if first is None:
+                first = grid.at(ci, cj)
+            second = grid.at(rj, ci)
+            if second is None:
+                second = grid.at(cj, ci)
+            want = tuple(dict.fromkeys(x for x in (first, second) if x is not None))
+            assert grid.default_rendezvous_pair(i, j) == want
+            assert tuple(x for x in pairs[slot].tolist() if x >= 0) == want
+
     def test_failover_candidates_are_dst_row_and_column(self):
         grid = GridQuorum(list(range(1, 10)))
         cands = set(grid.failover_candidates(9))

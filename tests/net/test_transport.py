@@ -170,7 +170,7 @@ class TestCoalescedDelivery:
         got = []
         transport.register(1, lambda msg, src: got.append((sim.now, msg)))
         a = ls_msg(0, 3)
-        b = RecommendationMessage(origin=0, entries=[(1, 2)])
+        b = RecommendationMessage(origin=0, dsts=np.array([1]), hops=np.array([2]))
         transport.send(0, 1, a)
         transport.send(0, 1, b)
         assert transport.coalesced_count == 1
@@ -213,7 +213,7 @@ class TestCoalescedDelivery:
         sim, topo, transport, bw = make_setup()
         transport.register(1, lambda m, s: None)
         a = ls_msg(0, 3)
-        b = RecommendationMessage(origin=0, entries=[(1, 2)])
+        b = RecommendationMessage(origin=0, dsts=np.array([1]), hops=np.array([2]))
         transport.send(0, 1, a)
         transport.send(0, 1, b)
         sim.run()
@@ -248,14 +248,14 @@ class TestAccounting:
         n = 100
         msg = ls_msg(0, n)
         assert msg.wire_size() == wire.HEADER_BYTES + 3 * n
-        rec = RecommendationMessage(origin=0, entries=[(1, 2)] * 20)
+        rec = RecommendationMessage(origin=0, dsts=np.full(20, 1), hops=np.full(20, 2))
         assert rec.wire_size() == wire.HEADER_BYTES + 4 * 20
 
     def test_kind_separation(self):
         sim, topo, transport, bw = make_setup()
         transport.register(1, lambda m, s: None)
         transport.send(0, 1, ls_msg(0, 3))
-        transport.send(0, 1, RecommendationMessage(origin=0, entries=[(1, 2)]))
+        transport.send(0, 1, RecommendationMessage(origin=0, dsts=np.array([1]), hops=np.array([2])))
         sim.run()
         ls_bytes = bw.bytes_per_node(kinds=("ls",))
         rec_bytes = bw.bytes_per_node(kinds=("rec",))

@@ -19,9 +19,9 @@ from repro.overlay.harness import build_overlay
 
 class TestTimestampedRecommendations:
     def test_wire_cost(self):
-        plain = RecommendationMessage(origin=0, entries=[(1, 2)] * 10)
+        plain = RecommendationMessage(origin=0, dsts=np.full(10, 1), hops=np.full(10, 2))
         stamped = RecommendationMessage(
-            origin=0, entries=[(1, 2)] * 10, timestamped=True
+            origin=0, dsts=np.full(10, 1), hops=np.full(10, 2), timestamped=True
         )
         assert stamped.wire_size() == plain.wire_size() + 2 * 10
 
@@ -39,10 +39,18 @@ class TestTimestampedRecommendations:
         router, ov = self._router(timestamped=True)
         view = router.view
         newer = RecommendationMessage(
-            origin=1, entries=[(5, 3)], view_version=view.version, sent_at=100.0
+            origin=1,
+            dsts=np.array([5]),
+            hops=np.array([3]),
+            view_version=view.version,
+            sent_at=100.0,
         )
         older = RecommendationMessage(
-            origin=2, entries=[(5, 7)], view_version=view.version, sent_at=90.0
+            origin=2,
+            dsts=np.array([5]),
+            hops=np.array([7]),
+            view_version=view.version,
+            sent_at=90.0,
         )
         router.on_recommendation(newer, 1)
         router.on_recommendation(older, 2)  # delivered later, computed earlier
@@ -52,10 +60,18 @@ class TestTimestampedRecommendations:
         router, ov = self._router(timestamped=False)
         view = router.view
         newer = RecommendationMessage(
-            origin=1, entries=[(5, 3)], view_version=view.version, sent_at=100.0
+            origin=1,
+            dsts=np.array([5]),
+            hops=np.array([3]),
+            view_version=view.version,
+            sent_at=100.0,
         )
         older = RecommendationMessage(
-            origin=2, entries=[(5, 7)], view_version=view.version, sent_at=90.0
+            origin=2,
+            dsts=np.array([5]),
+            hops=np.array([7]),
+            view_version=view.version,
+            sent_at=90.0,
         )
         router.on_recommendation(newer, 1)
         router.on_recommendation(older, 2)

@@ -118,23 +118,49 @@ class TestLinkStateCodec:
         assert np.allclose(loss2, np.rint(loss * 100) / 100, atol=0.005)
 
 
+def encode_pairs(entries):
+    ids = np.array(entries, dtype=np.int64).reshape(-1, 2)
+    return wire.encode_recommendations(ids[:, 0], ids[:, 1])
+
+
+def decode_pairs(data):
+    dsts, hops = wire.decode_recommendations(data)
+    return list(zip(dsts.tolist(), hops.tolist()))
+
+
 class TestRecommendationCodec:
     def test_round_trip(self):
         entries = [(3, 7), (10, 10), (65535, 0)]
-        data = wire.encode_recommendations(entries)
+        data = encode_pairs(entries)
         assert len(data) == 4 * len(entries)
-        assert wire.decode_recommendations(data) == entries
+        assert decode_pairs(data) == entries
 
     def test_empty(self):
-        assert wire.decode_recommendations(b"") == []
+        assert decode_pairs(b"") == []
 
     def test_id_overflow_rejected(self):
         with pytest.raises(WireFormatError):
-            wire.encode_recommendations([(70000, 1)])
+            encode_pairs([(70000, 1)])
 
     def test_bad_length_rejected(self):
         with pytest.raises(WireFormatError):
             wire.decode_recommendations(b"\x00" * 6)
+
+    def test_columns_round_trip_as_int_arrays(self):
+        dsts = np.array([0, 5, 9, 65535])
+        hops = np.array([1, 5, 2, 40000])
+        got_dsts, got_hops = wire.decode_recommendations(
+            wire.encode_recommendations(dsts, hops)
+        )
+        assert got_dsts.dtype == got_hops.dtype == np.int64
+        assert np.array_equal(got_dsts, dsts)
+        assert np.array_equal(got_hops, hops)
+
+    def test_negative_id_and_ragged_columns_rejected(self):
+        with pytest.raises(WireFormatError):
+            wire.encode_recommendations(np.array([1, -1]), np.array([2, 3]))
+        with pytest.raises(WireFormatError):
+            wire.encode_recommendations(np.array([1, 2]), np.array([3]))
 
     @given(
         st.lists(
@@ -142,8 +168,8 @@ class TestRecommendationCodec:
         )
     )
     def test_round_trip_property(self, entries):
-        data = wire.encode_recommendations(entries)
-        assert wire.decode_recommendations(data) == entries
+        data = encode_pairs(entries)
+        assert decode_pairs(data) == entries
 
 
 class TestMembershipDeltaWire:
